@@ -225,8 +225,8 @@ mod tests {
 
     #[test]
     fn evaluator_reuse_matches_the_one_shot_trajectory_bitwise() {
-        // Regression for the per-move `fast_score(base, …)` clone: the
-        // reused evaluator must produce the same scores (bit for bit)
+        // Regression for the per-move config clone (a fresh
+        // `FastEvaluator` per move): the reused evaluator must produce the same scores (bit for bit)
         // at every move, so the whole annealing trajectory — and thus
         // the returned placement — is unchanged.
         let base = base();
@@ -236,7 +236,7 @@ mod tests {
         let mut one_shot_scores = Vec::new();
         let one_shot_best = anneal_core(&shape, budget, &cfg, |assignment| {
             let spec = shape.materialize(&canonicalize(assignment));
-            let objective = crate::fast_eval::fast_score(&base, &spec)?.objective;
+            let objective = crate::FastEvaluator::new(&base).score(&spec)?.objective;
             one_shot_scores.push(objective.to_bits());
             Ok(objective)
         })

@@ -80,23 +80,6 @@ fn score_config(cfg: &SimRunConfig) -> RuntimeResult<FastScore> {
     })
 }
 
-/// Scores `spec` analytically under `base`'s platform and workloads.
-///
-/// One-shot convenience over [`FastEvaluator`]: every call clones the
-/// **entire** `SimRunConfig` (platform model, workload map, settings).
-/// That is fine for a single score or a test reference, and ruinous in
-/// a loop. Hot paths must not call this per candidate — scans go
-/// through [`crate::scan`] with a per-worker [`crate::DeltaEvaluator`]
-/// (or `FastEvaluator`), annealing reuses one evaluator across moves.
-/// Every former in-loop call site was redirected (PR 5 removed the
-/// scan/anneal loops; the delta engine keeps them out), and the
-/// `fast_score_stays_out_of_library_loops` test pins that this function
-/// is referenced only from `#[cfg(test)]` code and test files within
-/// this crate.
-pub fn fast_score(base: &SimRunConfig, spec: &EnsembleSpec) -> RuntimeResult<FastScore> {
-    FastEvaluator::new(base).score(spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,7 +94,7 @@ mod tests {
             let mut base = SimRunConfig::paper(spec.clone());
             base.workloads = WorkloadMap::small_defaults();
             base.n_steps = 8;
-            let fast = fast_score(&base, &spec).unwrap();
+            let fast = FastEvaluator::new(&base).score(&spec).unwrap();
 
             let report =
                 EnsembleRunner::paper_config(id).small_scale().steps(8).jitter(0.0).run().unwrap();
@@ -134,7 +117,7 @@ mod tests {
         // candidates.
         for spec in [&spec_a, &spec_b, &spec_a, &spec_b] {
             let reused = eval.score(spec).unwrap();
-            let fresh = fast_score(&base, spec).unwrap();
+            let fresh = FastEvaluator::new(&base).score(spec).unwrap();
             assert_eq!(reused.objective.to_bits(), fresh.objective.to_bits());
             assert_eq!(reused.ensemble_makespan.to_bits(), fresh.ensemble_makespan.to_bits());
             assert_eq!(reused.nodes_used, fresh.nodes_used);
@@ -150,41 +133,11 @@ mod tests {
         let mut base = SimRunConfig::paper(spec.clone());
         base.workloads = WorkloadMap::small_defaults();
         base.n_steps = 8;
-        let first = fast_score(&base, &spec).unwrap();
+        let first = FastEvaluator::new(&base).score(&spec).unwrap();
         for _ in 0..20 {
-            let again = fast_score(&base, &spec).unwrap();
+            let again = FastEvaluator::new(&base).score(&spec).unwrap();
             assert_eq!(first.objective.to_bits(), again.objective.to_bits());
             assert_eq!(first.ensemble_makespan.to_bits(), again.ensemble_makespan.to_bits());
-        }
-    }
-
-    #[test]
-    fn fast_score_stays_out_of_library_loops() {
-        // `fast_score` clones the whole SimRunConfig per call — the
-        // audit in the function docs: library (non-test) code in this
-        // crate must never call it; hot paths use reusable evaluators.
-        let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
-        for entry in std::fs::read_dir(&src_dir).expect("read src/") {
-            let path = entry.expect("dir entry").path();
-            if path.extension().and_then(|e| e.to_str()) != Some("rs") {
-                continue;
-            }
-            let source = std::fs::read_to_string(&path).expect("read source");
-            // Strip everything from the test module down — call sites
-            // there are reference paths, which are exactly where the
-            // one-shot form belongs.
-            let library_code = source.split("#[cfg(test)]").next().expect("split");
-            for (lineno, line) in library_code.lines().enumerate() {
-                let code = line.split("//").next().expect("split");
-                let is_definition = code.contains("pub fn fast_score");
-                assert!(
-                    is_definition || !code.contains("fast_score("),
-                    "{}:{}: fast_score called from library code — use a reusable \
-                     FastEvaluator/DeltaEvaluator instead",
-                    path.display(),
-                    lineno + 1
-                );
-            }
         }
     }
 
@@ -193,7 +146,7 @@ mod tests {
         let spec = ConfigId::C1_1.build();
         let mut base = SimRunConfig::paper(spec.clone());
         base.workloads = WorkloadMap::small_defaults();
-        let s = fast_score(&base, &spec).unwrap();
+        let s = FastEvaluator::new(&base).score(&spec).unwrap();
         assert_eq!(s.nodes_used, 3);
         assert!(s.ensemble_makespan > 0.0);
     }

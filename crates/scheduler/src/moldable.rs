@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn scan_matches_the_one_shot_reference_bitwise() {
-        // Regression for the per-candidate `fast_score(base, …)` the old
+        // Regression for the per-candidate fresh `FastEvaluator` the old
         // loop paid: the top-1 scan must pick the same placement, with
         // bit-identical floats, as the strictly-greater serial reference
         // over one-shot scores — at several worker counts.
@@ -169,7 +169,7 @@ mod tests {
                     crate::enumerate::enumerate_placements(&shape, budget.max_nodes, 32)
                 {
                     let spec = shape.materialize(&assignment);
-                    let score = crate::fast_eval::fast_score(&base, &spec).unwrap();
+                    let score = crate::FastEvaluator::new(&base).score(&spec).unwrap();
                     let point = MoldablePoint {
                         analysis_cores: cores,
                         assignment,

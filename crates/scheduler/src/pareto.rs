@@ -126,10 +126,10 @@ mod tests {
 
     #[test]
     fn scan_matches_the_one_shot_path_bitwise_at_any_worker_count() {
-        // Regression for the per-candidate `fast_score(base, …)` clone
-        // the serial loop used to pay: the reused per-worker evaluator
-        // must reproduce the one-shot scores bit for bit, at every
-        // worker count.
+        // Regression for the per-candidate config clone the serial loop
+        // used to pay (a fresh `FastEvaluator` per candidate): the reused
+        // per-worker evaluator must reproduce the one-shot scores bit for
+        // bit, at every worker count.
         let shape = EnsembleShape::uniform(2, 16, 1, 8);
         let budget = NodeBudget { max_nodes: 3, cores_per_node: 32 };
         let base = base();
@@ -141,7 +141,8 @@ mod tests {
         )
         .unwrap();
         for p in &serial {
-            let one_shot = crate::fast_eval::fast_score(&base, &shape.materialize(&p.assignment))
+            let one_shot = crate::FastEvaluator::new(&base)
+                .score(&shape.materialize(&p.assignment))
                 .expect("one-shot score");
             assert_eq!(p.objective.to_bits(), one_shot.objective.to_bits(), "{:?}", p.assignment);
             assert_eq!(p.ensemble_makespan.to_bits(), one_shot.ensemble_makespan.to_bits());

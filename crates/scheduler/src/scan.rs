@@ -79,7 +79,7 @@ fn workers_from_env(raw: Option<&str>) -> Option<usize> {
 }
 
 /// A point-in-time view of a running scan, handed to the progress
-/// observer of [`scan_placements_observed`].
+/// observer of [`scan_placements_delta_observed`].
 ///
 /// Produced under the feed lock at the same probe point cancellation
 /// uses (between chunks), so successive observations are monotone:
@@ -248,34 +248,6 @@ where
     T: Send,
     E: Send,
 {
-    scan_placements_observed(shape, budget, opts, init, eval, objective, cancel, |_| {})
-}
-
-/// [`scan_placements`] with a per-chunk progress observer.
-///
-/// `progress` fires under the feed lock at the same probe point
-/// cancellation uses — each time a worker returns for its next chunk
-/// and the global candidate count has advanced. Observations are
-/// strictly monotone in `scanned`. Keep the observer cheap (push to a
-/// channel, update an atomic): it briefly serializes workers. The last
-/// chunk of a completed scan is still reported (the worker that drains
-/// the iterator folds its final batch in first); use the returned
-/// [`ScanOutcome`] for authoritative totals.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_placements_observed<S, T, E>(
-    shape: &EnsembleShape,
-    budget: NodeBudget,
-    opts: &ScanOptions,
-    init: impl Fn() -> S + Sync,
-    eval: impl Fn(&mut S, usize, &[usize]) -> Result<Option<T>, E> + Sync,
-    objective: impl Fn(&T) -> f64 + Sync,
-    cancel: impl Fn() -> bool + Sync,
-    progress: impl Fn(&ScanProgress) + Sync,
-) -> Result<ScanOutcome<T>, E>
-where
-    T: Send,
-    E: Send,
-{
     scan_engine(
         shape,
         budget,
@@ -285,7 +257,7 @@ where
         |_| DeltaCounters::default(),
         objective,
         cancel,
-        progress,
+        |_| {},
     )
 }
 
@@ -321,8 +293,16 @@ where
     scan_engine(shape, budget, opts, init, eval, drain, objective, cancel, |_| {})
 }
 
-/// [`scan_placements_delta`] with a per-chunk progress observer (see
-/// [`scan_placements_observed`] for the observer contract).
+/// [`scan_placements_delta`] with a per-chunk progress observer.
+///
+/// `progress` fires under the feed lock at the same probe point
+/// cancellation uses — each time a worker returns for its next chunk
+/// and the global candidate count has advanced. Observations are
+/// strictly monotone in `scanned`. Keep the observer cheap (push to a
+/// channel, update an atomic): it briefly serializes workers. The last
+/// chunk of a completed scan is still reported (the worker that drains
+/// the iterator folds its final batch in first); use the returned
+/// [`ScanOutcome`] for authoritative totals.
 #[allow(clippy::too_many_arguments)]
 pub fn scan_placements_delta_observed<S, T, E>(
     shape: &EnsembleShape,
@@ -633,12 +613,13 @@ mod tests {
         let expected = crate::enumerate::enumerate_placements(&shape(), 3, 32);
         for workers in [1, 2, 8] {
             let seen: Mutex<Vec<ScanProgress>> = Mutex::new(Vec::new());
-            let outcome = scan_placements_observed(
+            let outcome = scan_placements_delta_observed(
                 &shape(),
                 budget(),
                 &ScanOptions { workers, chunk: 2, top_k: 0 },
                 || (),
-                |(), _, a| Ok::<_, ()>(Some((a.to_vec(), toy_objective(a)))),
+                |(), _, a, _hint| Ok::<_, ()>(Some((a.to_vec(), toy_objective(a)))),
+                |_| DeltaCounters::default(),
                 |(_, obj)| *obj,
                 || false,
                 |p| seen.lock().unwrap().push(*p),
@@ -667,12 +648,13 @@ mod tests {
     fn cancelled_scans_still_report_progress_up_to_the_stop() {
         let pulls = AtomicUsize::new(0);
         let seen = Mutex::new(Vec::new());
-        let outcome = scan_placements_observed(
+        let outcome = scan_placements_delta_observed(
             &shape(),
             budget(),
             &ScanOptions { workers: 1, chunk: 1, top_k: 0 },
             || (),
-            |(), _, a| Ok::<_, ()>(Some(a.to_vec())),
+            |(), _, a, _hint| Ok::<_, ()>(Some(a.to_vec())),
+            |_| DeltaCounters::default(),
             |_| 0.0,
             || pulls.fetch_add(1, Ordering::SeqCst) >= 3,
             |p: &ScanProgress| seen.lock().unwrap().push(p.scanned),

@@ -20,7 +20,7 @@ use support::prop::prelude::*;
 
 fn base_config() -> SimRunConfig {
     let placeholder = EnsembleShape::uniform(1, 16, 1, 8);
-    let mut cfg = SimRunConfig::paper(placeholder.materialize(&vec![0; 2]));
+    let mut cfg = SimRunConfig::paper(placeholder.materialize(&[0; 2]));
     cfg.workloads = WorkloadMap::small_defaults();
     cfg.n_steps = 4;
     cfg

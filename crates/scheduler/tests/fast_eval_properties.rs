@@ -1,13 +1,13 @@
 //! Property-based tests of the closed-form placement evaluator.
 //!
-//! The provisioning service's score cache is sound only because
-//! `fast_score` is a pure function of its inputs: identical (spec,
+//! The provisioning service's score cache is sound only because the
+//! evaluator is a pure function of its inputs: identical (spec,
 //! platform, workloads) must produce **bit-identical** results, at any
-//! call count, through either entry point. These properties pin that
+//! call count, from a fresh or a reused evaluator. These properties pin that
 //! invariant across randomly generated ensemble shapes and placements.
 
 use runtime::{SimRunConfig, WorkloadMap};
-use scheduler::{enumerate_placements, fast_score, EnsembleShape, FastEvaluator};
+use scheduler::{enumerate_placements, EnsembleShape, FastEvaluator};
 use support::prop::prelude::*;
 
 /// Small-but-varied ensemble shapes: 1–3 members, 1–2 analyses each,
@@ -31,7 +31,7 @@ fn base_config(spec: ensemble_core::EnsembleSpec) -> SimRunConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Repeated `fast_score` calls on identical inputs are bit-identical
+    /// Repeated one-shot scores of identical inputs are bit-identical
     /// — the determinism the score cache relies on.
     #[test]
     fn fast_score_is_bit_identical_across_calls(
@@ -47,9 +47,9 @@ proptest! {
         // evaluator pins the predictor to its deterministic fixed point.
         let mut base = base_config(spec.clone());
         base.jitter = jitter;
-        let first = fast_score(&base, &spec).expect("score");
+        let first = FastEvaluator::new(&base).score(&spec).expect("score");
         for _ in 0..3 {
-            let again = fast_score(&base, &spec).expect("score");
+            let again = FastEvaluator::new(&base).score(&spec).expect("score");
             prop_assert_eq!(first.objective.to_bits(), again.objective.to_bits());
             prop_assert_eq!(
                 first.ensemble_makespan.to_bits(),
@@ -61,8 +61,8 @@ proptest! {
     }
 
     /// The reusable evaluator (the search/service hot path, which avoids
-    /// the per-candidate config clone) agrees bit-for-bit with the
-    /// one-shot entry point, even when candidates interleave.
+    /// the per-candidate config clone) agrees bit-for-bit with a fresh
+    /// evaluator per candidate, even when candidates interleave.
     #[test]
     fn evaluator_matches_one_shot_for_every_candidate(
         shape in shape_strategy(),
@@ -77,7 +77,7 @@ proptest! {
         // Forward then backward: reuse across differing candidates must
         // not leave state behind that changes any score.
         for spec in specs.iter().chain(specs.iter().rev()) {
-            let one_shot = fast_score(&base, spec).expect("one-shot score");
+            let one_shot = FastEvaluator::new(&base).score(spec).expect("one-shot score");
             let reused = evaluator.score(spec).expect("evaluator score");
             prop_assert_eq!(one_shot.objective.to_bits(), reused.objective.to_bits());
             prop_assert_eq!(

@@ -13,8 +13,8 @@
 
 use runtime::{RuntimeResult, SimRunConfig, WorkloadMap};
 use scheduler::{
-    canonicalize, enumerate_placements, fast_score, scan_placements, EnsembleShape, FastEvaluator,
-    NodeBudget, PlacementIter, ScanOptions,
+    canonicalize, enumerate_placements, scan_placements, EnsembleShape, FastEvaluator, NodeBudget,
+    PlacementIter, ScanOptions,
 };
 use support::prop::prelude::*;
 
@@ -84,7 +84,7 @@ proptest! {
             .iter()
             .map(|a| {
                 let spec = shape.materialize(a);
-                (a.clone(), fast_score(&base, &spec).expect("score").objective.to_bits())
+                (a.clone(), FastEvaluator::new(&base).score(&spec).expect("score").objective.to_bits())
             })
             .collect();
         for workers in [1usize, 2, 8] {

@@ -1,8 +1,9 @@
 //! Memoized score cache.
 //!
 //! Score queries are pure functions of (spec shape, node budget,
-//! platform, workload map, evaluation settings) — `fast_score` is
-//! deterministic (see the scheduler's determinism tests), so identical
+//! platform, workload map, evaluation settings) — the `DeltaEvaluator`
+//! scan is bit-deterministic at any worker count (see the scheduler's
+//! determinism and delta property tests), so identical
 //! queries can be answered from memory without touching the predictor.
 //! Keys are the *canonical description string* of the query, not a hash
 //! of it: collisions are then impossible by construction, and the key

@@ -83,7 +83,12 @@ pub fn serve(addr: &str, config: SvcConfig) -> std::io::Result<ServerHandle> {
     let accept_shared = Arc::clone(&shared);
     let accept_thread = std::thread::Builder::new()
         .name("svc-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_shared))
+        .spawn(move || {
+            let conn_shared = Arc::clone(&accept_shared);
+            let serve = move |stream| connection_loop(stream, &conn_shared);
+            let (stopping, conns) = (&accept_shared.stopping, &accept_shared.conns);
+            accept_loop(&listener, READ_POLL, "svc-conn", stopping, conns, serve);
+        })
         .expect("spawn acceptor");
     // Journalled primaries advertise liveness by touching `<journal>.hb`
     // every heartbeat; a fault-plan "crash" (degraded journal) stops the
@@ -155,35 +160,37 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    while !shared.stopping.load(Ordering::Acquire) {
+/// Accepts connections on the nonblocking `listener` until `stopping`
+/// is set, serving each on its own thread named `name` and sleeping
+/// `poll` between empty accepts. Both front ends (primary and standby)
+/// run it. Finished connection threads are joined on each accept:
+/// without the sweep a long-lived server kept one JoinHandle per
+/// connection it ever served until shutdown.
+pub(crate) fn accept_loop(
+    listener: &TcpListener,
+    poll: Duration,
+    name: &str,
+    stopping: &AtomicBool,
+    conns: &Mutex<Vec<std::thread::JoinHandle<()>>>,
+    serve: impl Fn(TcpStream) + Clone + Send + 'static,
+) {
+    while !stopping.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let conn_shared = Arc::clone(shared);
+                let serve = serve.clone();
                 let handle = std::thread::Builder::new()
-                    .name("svc-conn".into())
-                    .spawn(move || connection_loop(stream, &conn_shared))
+                    .name(name.into())
+                    .spawn(move || serve(stream))
                     .expect("spawn connection");
-                // Reap finished connection threads before tracking the
-                // new one: joining a finished handle is instant, and
-                // without the sweep a long-lived server leaked one
-                // JoinHandle (thread stack bookkeeping included) per
-                // connection it ever served until shutdown.
-                let mut conns = shared.conns.lock().expect("conns lock");
-                let mut live = Vec::with_capacity(conns.len() + 1);
-                for h in conns.drain(..) {
-                    if h.is_finished() {
-                        let _ = h.join();
-                    } else {
-                        live.push(h);
-                    }
+                let mut conns = conns.lock().expect("conns lock");
+                let (done, live): (Vec<_>, Vec<_>) = conns.drain(..).partition(|h| h.is_finished());
+                for h in done {
+                    let _ = h.join(); // instant: the thread has finished
                 }
-                live.push(handle);
                 *conns = live;
+                conns.push(handle);
             }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => {
-                std::thread::sleep(READ_POLL);
-            }
+            Err(e) if e.kind() == IoErrorKind::WouldBlock => std::thread::sleep(poll),
             Err(_) => break,
         }
     }
@@ -273,7 +280,7 @@ fn replication_loop(stream: &mut TcpStream, shared: &Arc<ServerShared>, id: u64)
                 }
             }
         }
-        if last_hb.map_or(true, |t| t.elapsed() >= REPL_HEARTBEAT) {
+        if last_hb.is_none_or(|t| t.elapsed() >= REPL_HEARTBEAT) {
             let stats = shared.service.journal_stats().unwrap_or_default();
             let hb = obj(vec![
                 ("type", "repl-hb".into()),
@@ -292,90 +299,125 @@ fn replication_loop(stream: &mut TcpStream, shared: &Arc<ServerShared>, id: u64)
 }
 
 fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    'conn: loop {
-        // Serve every complete line already buffered.
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line[..nl]).into_owned();
-            if line.trim().is_empty() {
-                continue;
+    let mut lines = LineReader::new(&stream, READ_POLL);
+    let stopping = || shared.stopping.load(Ordering::Acquire);
+    while let Some(line) = lines.next_line(&mut stream, stopping) {
+        // A panic while handling one request must cost exactly that
+        // request, not the connection (and certainly not the server):
+        // contain it and answer with a structured error.
+        let handled =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle_line(shared, &line)))
+                .unwrap_or_else(|_| {
+                    Handled::One(Response::Error {
+                        id: line_request_id(&line),
+                        kind: ErrorKind::Internal,
+                        message: "request handler panicked".into(),
+                    })
+                });
+        match handled {
+            Handled::One(response) => {
+                if write_line(&mut stream, &response.to_json()).is_err() {
+                    return; // client gone mid-response; nothing to deliver
+                }
             }
-            // A panic while handling one request must cost exactly that
-            // request, not the connection (and certainly not the
-            // server): contain it and answer with a structured error.
-            let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                handle_line(shared, &line)
-            }))
-            .unwrap_or_else(|_| {
-                Handled::One(Response::Error {
-                    id: line_request_id(&line),
-                    kind: ErrorKind::Internal,
-                    message: "request handler panicked".into(),
-                })
-            });
-            match handled {
-                Handled::One(response) => {
-                    if write_line(&mut stream, &response.to_json()).is_err() {
-                        // Client gone mid-response; nothing to deliver.
-                        break 'conn;
-                    }
-                }
-                Handled::Replicate(id) => {
-                    // The connection is now a one-way record stream; it
-                    // ends when the standby disconnects, the server
-                    // stops, or a fault plan drops it.
-                    replication_loop(&mut stream, shared, id);
-                    break 'conn;
-                }
-                Handled::Stream(pending) => {
-                    // Drain the reply frame-by-frame: zero or more
-                    // progress lines, then exactly one final line. A
-                    // write failure means the watcher is gone — cancel
-                    // the in-flight work so a dropped `--progress`
-                    // session does not keep burning the pool, and let
-                    // the worker's remaining sends fail harmlessly into
-                    // the dropped receiver.
-                    loop {
-                        match pending.recv_frame() {
-                            Frame::Progress(p) => {
-                                if write_line(&mut stream, &p.to_json()).is_err() {
-                                    pending.cancel();
-                                    break 'conn;
-                                }
+            Handled::Replicate(id) => {
+                // The connection is now a one-way record stream; it ends
+                // when the standby disconnects, the server stops, or a
+                // fault plan drops it.
+                replication_loop(&mut stream, shared, id);
+                return;
+            }
+            Handled::Stream(pending) => {
+                // Drain the reply frame-by-frame: zero or more progress
+                // lines, then exactly one final line. A write failure
+                // means the watcher is gone — cancel the in-flight work
+                // so a dropped `--progress` session does not keep burning
+                // the pool, and let the worker's remaining sends fail
+                // harmlessly into the dropped receiver.
+                loop {
+                    match pending.recv_frame() {
+                        Frame::Progress(p) => {
+                            if write_line(&mut stream, &p.to_json()).is_err() {
+                                pending.cancel();
+                                return;
                             }
-                            Frame::Final(response) => {
-                                if write_line(&mut stream, &response.to_json()).is_err() {
-                                    break 'conn;
-                                }
-                                break;
+                        }
+                        Frame::Final(response) => {
+                            if write_line(&mut stream, &response.to_json()).is_err() {
+                                return;
                             }
+                            break;
                         }
                     }
                 }
             }
         }
-        if buf.len() > MAX_LINE_BYTES {
-            let refuse = Response::Error {
-                id: 0,
-                kind: ErrorKind::Malformed,
-                message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-            };
-            let _ = stream.write_all(format!("{}\n", refuse.to_json()).as_bytes());
-            break 'conn;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break 'conn, // EOF
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
-                if shared.stopping.load(Ordering::Acquire) {
-                    break 'conn;
+    }
+}
+
+/// Newline framing of request lines, shared by the primary's and the
+/// standby's front ends: buffers reads, splits on `\n`, skips blank
+/// lines, observes shutdown at each read timeout, and refuses a line
+/// that outgrows [`MAX_LINE_BYTES`].
+pub(crate) struct LineReader {
+    buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a newline; the
+    /// search resumes here after a read instead of rescanning.
+    scanned: usize,
+}
+
+impl LineReader {
+    /// Prepares `stream` for serving lines: `TCP_NODELAY`, so every
+    /// reply line leaves at once, and a `poll` read timeout, the
+    /// cadence at which a blocked read checks for shutdown.
+    pub(crate) fn new(stream: &TcpStream, poll: Duration) -> LineReader {
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(poll));
+        LineReader { buf: Vec::new(), scanned: 0 }
+    }
+
+    /// The next non-blank request line, or `None` once the connection
+    /// should end: the peer closed it or a read failed, `stopping()`
+    /// held at a read timeout, or the pending line grew past
+    /// [`MAX_LINE_BYTES`] without a newline — then a `malformed` error
+    /// was written first.
+    pub(crate) fn next_line(
+        &mut self,
+        stream: &mut TcpStream,
+        stopping: impl Fn() -> bool,
+    ) -> Option<String> {
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some(at) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let nl = self.scanned + at;
+                let line = String::from_utf8_lossy(&self.buf[..nl]).into_owned();
+                self.buf.drain(..=nl);
+                self.scanned = 0;
+                if !line.trim().is_empty() {
+                    return Some(line);
                 }
+                continue;
             }
-            Err(_) => break 'conn,
+            self.scanned = self.buf.len();
+            if self.buf.len() > MAX_LINE_BYTES {
+                let refuse = Response::Error {
+                    id: 0,
+                    kind: ErrorKind::Malformed,
+                    message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                };
+                let _ = write_line(stream, &refuse.to_json());
+                return None;
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) => return None, // EOF
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e) if matches!(e.kind(), IoErrorKind::WouldBlock | IoErrorKind::TimedOut) => {
+                    if stopping() {
+                        return None;
+                    }
+                }
+                Err(_) => return None,
+            }
         }
     }
 }
@@ -383,7 +425,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
 /// One newline-terminated protocol frame, written and flushed (the
 /// stream has `TCP_NODELAY` set, so a progress line reaches the watcher
 /// immediately instead of sitting in a send buffer behind the final).
-fn write_line(stream: &mut TcpStream, json: &str) -> std::io::Result<()> {
+pub(crate) fn write_line(stream: &mut TcpStream, json: &str) -> std::io::Result<()> {
     let mut out = String::with_capacity(json.len() + 1);
     out.push_str(json);
     out.push('\n');
@@ -402,7 +444,7 @@ enum Handled {
 }
 
 /// Best effort at extracting an id even from a broken request line.
-fn line_request_id(line: &str) -> u64 {
+pub(crate) fn line_request_id(line: &str) -> u64 {
     crate::json::Value::parse(line)
         .ok()
         .and_then(|v| v.get("id").and_then(crate::json::Value::as_u64))

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 use ensemble_core::WarmupPolicy;
@@ -510,65 +510,49 @@ impl Service {
     /// through the co-scheduler first — the worker queue only ever sees
     /// them holding a placement.
     pub fn submit(&self, mut request: Request) -> Result<Pending, Rejected> {
-        let stats = &self.shared.stats;
-        stats.submitted.fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
         // Wire requests were validated at decode; in-process callers
         // get the same rule here, so an unparseable tag can never reach
         // the tenant table (or mint an unbounded metrics row).
-        if let Some(tag) = &request.tenant {
-            if let Err(message) = validate_tenant(tag) {
-                stats.errored.fetch_add(1, Ordering::Relaxed);
-                let (tx, rx) = mpsc::channel();
-                let _ = tx.send(Frame::Final(Response::Error {
-                    id: request.id,
-                    kind: ErrorKind::Invalid,
-                    message,
-                }));
-                return Ok(Pending { rx, cancel: CancelToken::default(), reaper: None });
-            }
+        if let Some(Err(message)) = request.tenant.as_deref().map(validate_tenant) {
+            return Ok(self.answered(request.id, ErrorKind::Invalid, message));
         }
         if request.deadline.is_none() {
             request.deadline = self.config.default_deadline;
         }
         let submitted = Instant::now();
-        let deadline_at = request.deadline.map(|d| submitted + d);
-        let cancel = CancelToken::default();
-        let (tx, rx) = mpsc::channel();
-        if matches!(request.body, RequestBody::Submit(_)) {
-            return self.submit_cosched(request, submitted, deadline_at, cancel, tx, rx);
+        let (reply, rx) = mpsc::channel();
+        let job = Job {
+            deadline_at: request.deadline.map(|d| submitted + d),
+            request,
+            submitted,
+            cancel: CancelToken::default(),
+            reply,
+            cosched: None,
+        };
+        let pending =
+            Pending { rx, cancel: job.cancel.clone(), reaper: Some(Arc::downgrade(&self.shared)) };
+        if matches!(job.request.body, RequestBody::Submit(_)) {
+            return self.submit_cosched(job, pending);
         }
         // Only *admitted* requests are journaled; clone up front because
         // the job owns the request once pushed.
-        let admit_copy = self.shared.journal.as_ref().map(|_| request.clone());
-        let job = Job {
-            request,
-            submitted,
-            deadline_at,
-            cancel: cancel.clone(),
-            reply: tx,
-            cosched: None,
-        };
-        match quota_push(&self.shared, job) {
-            Ok(()) => {
-                if let (Some(journal), Some(request)) = (&self.shared.journal, &admit_copy) {
-                    journal.append_admit(request);
-                }
-                Ok(self.pending(rx, cancel))
-            }
-            Err(AdmitRefusal::Quota { retry_after_ms }) => {
-                Err(Rejected::Overloaded { retry_after_ms })
-            }
-            Err(AdmitRefusal::Full) => {
-                Err(Rejected::Overloaded { retry_after_ms: self.retry_after_hint_ms() })
-            }
-            Err(AdmitRefusal::Closed) => Err(Rejected::ShuttingDown),
+        let admit_copy = self.shared.journal.as_ref().map(|_| job.request.clone());
+        Gate::open(&self.shared, job.request.tenant.as_ref()).check_quota()?.enter(job)?;
+        if let (Some(journal), Some(request)) = (&self.shared.journal, &admit_copy) {
+            journal.append_admit(request);
         }
+        Ok(pending)
     }
 
-    /// Wraps a reply channel as a [`Pending`] carrying the weak
-    /// back-reference `wait_timeout` reaps through.
-    fn pending(&self, rx: mpsc::Receiver<Frame>, cancel: CancelToken) -> Pending {
-        Pending { rx, cancel, reaper: Some(Arc::downgrade(&self.shared)) }
+    /// A reply handle that already holds an error decided at admission:
+    /// the request never queues, but the caller's [`Pending`] works
+    /// unchanged.
+    fn answered(&self, id: u64, kind: ErrorKind, message: String) -> Pending {
+        self.shared.stats.errored.fetch_add(1, Ordering::Relaxed);
+        let (tx, rx) = mpsc::channel();
+        let _ = tx.send(Frame::Final(Response::Error { id, kind, message }));
+        Pending { rx, cancel: CancelToken::default(), reaper: None }
     }
 
     /// Admission path of `submit` requests: place against live residual
@@ -576,185 +560,75 @@ impl Service {
     /// full. Placed jobs enter the worker queue already holding their
     /// reservation; queued jobs park their reply handle until a
     /// completion pumps them through.
-    fn submit_cosched(
-        &self,
-        request: Request,
-        submitted: Instant,
-        deadline_at: Option<Instant>,
-        cancel: CancelToken,
-        tx: mpsc::Sender<Frame>,
-        rx: mpsc::Receiver<Frame>,
-    ) -> Result<Pending, Rejected> {
-        let stats = &self.shared.stats;
-        let id = request.id;
-        let tenant = request.tenant.clone();
-        // Errors decided at admission (never queued) still flow through
-        // the normal reply channel, so the caller's Pending works
-        // unchanged.
-        let inline_error: (ErrorKind, String);
+    fn submit_cosched(&self, mut job: Job, pending: Pending) -> Result<Pending, Rejected> {
+        let id = job.request.id;
         let Some(cosched) = &self.shared.cosched else {
-            stats.errored.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(Frame::Final(Response::Error {
-                id,
-                kind: ErrorKind::Invalid,
-                message: "submit requires the co-scheduler (start the service with --cosched)"
-                    .to_string(),
-            }));
-            return Ok(Pending { rx, cancel, reaper: None });
+            let message = "submit requires the co-scheduler (start the service with --cosched)";
+            return Ok(self.answered(id, ErrorKind::Invalid, message.to_string()));
         };
-        let RequestBody::Submit(submit) = &request.body else { unreachable!("routed on body") };
+        let RequestBody::Submit(submit) = &job.request.body else { unreachable!("routed on body") };
         let shape = submit.shape.clone();
         let mut state = cosched.lock().expect("cosched lock");
         // Expired/cancelled waiters are reaped before every admission
         // decision so dead jobs never hold queue slots ahead of live
         // ones.
         reap_expired_waiting(&self.shared, &mut state);
-        // The tenants lock is held through the whole admission decision
-        // (lock order: cosched → tenants → queue), so the quota check
-        // and the occupancy increment are one atomic step even against
-        // racing non-submit traffic of the same tenant.
-        let mut table = self.shared.tenants.lock().expect("tenants lock");
-        let resolved = tenant.as_deref().map(|t| table.resolve_name(t));
-        let lane = if self.shared.tenant_policy.is_active() { resolved.clone() } else { None };
-        if self.shared.tenant_policy.is_active() {
-            if let Some(name) = &resolved {
-                if let Some(quota) = self.shared.tenant_policy.quota_for(name) {
-                    let row = table.row(name);
-                    let occupancy = row.in_queue + row.in_flight;
-                    if occupancy >= quota {
-                        // Quota shed happens *before* the scheduler
-                        // sees the job: no counters move, no virtual
-                        // time advances, and the global queue may still
-                        // have room for other tenants.
-                        row.shed += 1;
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        return Err(Rejected::Overloaded {
-                            retry_after_ms: tenant_retry_hint_ms(&self.shared, occupancy),
-                        });
-                    }
-                }
-            }
-        }
-        match state.sched.submit(id, shape) {
+        // A quota shed happens *before* the scheduler sees the job: no
+        // counters move and no virtual time advances. The gate holds
+        // the tenants lock through the whole decision.
+        let gate = Gate::open(&self.shared, job.request.tenant.as_ref()).check_quota()?;
+        let (kind, message) = match state.sched.submit(id, shape) {
             Ok(Admission::Placed(decision)) => {
                 // Placed with jobs still waiting means this admission
                 // jumped the queue: backfill.
                 let backfilled = state.sched.queue_depth() > 0;
-                let residual: Vec<u64> =
-                    state.sched.residency().residual().iter().map(|&c| u64::from(c)).collect();
-                let reservation = replayed_reservation(&state, id, tenant.as_ref());
-                let admit_copy = self.shared.journal.as_ref().map(|_| request.clone());
-                let cosched_job = CoschedJob { decision, backfilled, queue_wait_ms: 0.0, residual };
-                let job = Job {
-                    request,
-                    submitted,
-                    deadline_at,
-                    cancel: cancel.clone(),
-                    reply: tx,
-                    cosched: Some(cosched_job),
-                };
-                match self.shared.queue.try_push(lane.as_deref(), job) {
-                    Ok(()) => {
-                        stats.accepted.fetch_add(1, Ordering::Relaxed);
-                        if let Some(name) = &resolved {
-                            let row = table.row(name);
-                            row.admitted += 1;
-                            row.in_queue += 1;
-                        }
-                        drop(table);
-                        if let Some(journal) = &self.shared.journal {
-                            if let Some(request) = &admit_copy {
-                                journal.append_admit(request);
-                            }
-                            if let Some(reservation) = &reservation {
-                                journal.append_reserve(reservation);
-                            }
-                        }
-                        return Ok(self.pending(rx, cancel));
+                let residual = residual_cores(&state);
+                let reservation = replayed_reservation(&state, id, job.request.tenant.as_ref());
+                let admit_copy = self.shared.journal.as_ref().map(|_| job.request.clone());
+                job.cosched =
+                    Some(CoschedJob { decision, backfilled, queue_wait_ms: 0.0, residual });
+                if let Err(refusal) = gate.enter(job) {
+                    // The reservation never started: roll it back
+                    // without touching the virtual clock.
+                    state.sched.withdraw(id);
+                    return Err(refusal);
+                }
+                if let Some(journal) = &self.shared.journal {
+                    if let Some(request) = &admit_copy {
+                        journal.append_admit(request);
                     }
-                    Err(PushError::Full(_)) => {
-                        // The reservation never started: roll it back
-                        // without touching the virtual clock.
-                        state.sched.withdraw(id);
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        if let Some(name) = &resolved {
-                            table.row(name).shed += 1;
-                        }
-                        return Err(Rejected::Overloaded {
-                            retry_after_ms: retry_hint_ms(&self.shared),
-                        });
-                    }
-                    Err(PushError::Closed(_)) => {
-                        state.sched.withdraw(id);
-                        return Err(Rejected::ShuttingDown);
+                    if let Some(reservation) = &reservation {
+                        journal.append_reserve(reservation);
                     }
                 }
+                return Ok(pending);
             }
             Ok(Admission::Queued { depth }) => {
-                stats.accepted.fetch_add(1, Ordering::Relaxed);
-                if let Some(name) = &resolved {
-                    let row = table.row(name);
-                    row.admitted += 1;
-                    row.in_queue += 1;
-                }
-                drop(table);
+                gate.count_admitted();
                 if let Some(journal) = &self.shared.journal {
-                    journal.append_admit(&request);
+                    journal.append_admit(&job.request);
                 }
-                if request.progress.is_some() {
-                    let frame = Frame::Progress(Progress {
-                        id,
-                        body: ProgressBody::Submit {
-                            queue_depth: Some(depth as u64),
-                            assignment: None,
-                        },
-                    });
-                    if tx.send(frame).is_ok() {
-                        stats.progress_frames_sent.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                let body =
+                    ProgressBody::Submit { queue_depth: Some(depth as u64), assignment: None };
+                send_progress(&self.shared.stats, &job, body);
                 let seq = state.next_wait_seq;
                 state.next_wait_seq += 1;
-                let job = Job {
-                    request,
-                    submitted,
-                    deadline_at,
-                    cancel: cancel.clone(),
-                    reply: tx,
-                    cosched: None,
-                };
                 state.waiting.insert(id, WaitingSubmit { job, seq, enqueued: Instant::now() });
-                return Ok(self.pending(rx, cancel));
+                return Ok(pending);
             }
-            Ok(Admission::Shed) => {
-                stats.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(name) = &resolved {
-                    table.row(name).shed += 1;
-                }
-                return Err(Rejected::Overloaded { retry_after_ms: retry_hint_ms(&self.shared) });
-            }
-            Ok(Admission::Infeasible) => {
-                inline_error = (
-                    ErrorKind::Invalid,
-                    "ensemble cannot fit the co-scheduled platform even when idle".to_string(),
-                );
-            }
+            Ok(Admission::Shed) => return Err(gate.shed()),
+            Ok(Admission::Infeasible) => (
+                ErrorKind::Invalid,
+                "ensemble cannot fit the co-scheduled platform even when idle".to_string(),
+            ),
             Err(scheduler::CoschedError::DuplicateJob(job)) => {
-                inline_error = (
-                    ErrorKind::Invalid,
-                    format!("job {job} already holds a reservation or queue slot"),
-                );
+                (ErrorKind::Invalid, format!("job {job} already holds a reservation or queue slot"))
             }
-            Err(e) => {
-                inline_error = (ErrorKind::Internal, format!("placement scoring failed: {e}"));
-            }
-        }
-        drop(table);
+            Err(e) => (ErrorKind::Internal, format!("placement scoring failed: {e}")),
+        };
+        drop(gate);
         drop(state);
-        let (kind, message) = inline_error;
-        stats.errored.fetch_add(1, Ordering::Relaxed);
-        let _ = tx.send(Frame::Final(Response::Error { id, kind, message }));
-        Ok(Pending { rx, cancel, reaper: None })
+        Ok(self.answered(id, kind, message))
     }
 
     /// Releases a reservation by job id — the operator path for orphans
@@ -782,16 +656,15 @@ impl Service {
     /// inviting a thundering herd. Computed in nanoseconds so sub-ms
     /// means still scale with backlog instead of truncating to zero.
     pub fn retry_after_hint_ms(&self) -> u64 {
-        retry_hint_ms(&self.shared)
+        retry_hint_ms(&self.shared, self.shared.queue.len() as u64 + 1)
     }
 
     /// Serves an `attach { job }` lookup against the completed-run
-    /// index: the stored result re-emitted under the attach request's
-    /// own correlation id, or a `not_found` error. Served inline by the
-    /// front end (like `metrics`) — it never queues, so re-attaching
-    /// works even under overload.
+    /// index (see [`attach_reply`]). Served inline by the front end
+    /// (like `metrics`) — it never queues, so re-attaching works even
+    /// under overload.
     pub fn attach(&self, id: u64, job: u64) -> Response {
-        attach_response(&self.shared, id, job)
+        attach_reply(self.shared.runs.get(&job.to_string()).as_deref(), id, job)
     }
 
     /// Point-in-time metrics.
@@ -938,15 +811,9 @@ impl Service {
         }
         if let Some(cosched) = &self.shared.cosched {
             let mut state = cosched.lock().expect("cosched lock");
-            let waiting: Vec<u64> = state.waiting.keys().copied().collect();
-            for id in waiting {
-                let entry = state.waiting.remove(&id).expect("key just listed");
+            for (id, entry) in std::mem::take(&mut state.waiting) {
                 state.sched.cancel_queued(id);
-                tenant_bump(&self.shared, entry.job.request.tenant.as_ref(), |row| {
-                    row.in_queue = row.in_queue.saturating_sub(1);
-                    row.cancelled += 1;
-                });
-                let _ = entry.job.reply.send(Frame::Final(Rejected::ShuttingDown.to_response(id)));
+                retire_unstarted(&self.shared, entry.job, Rejected::ShuttingDown.to_response(id));
             }
         }
     }
@@ -1038,13 +905,14 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Suggested back-off for a shed request: one queue's worth of work at
-/// the observed mean service time (seeded by the deadline budget or
-/// [`COLD_START_SERVICE_TIME`] before the first completion). See
-/// [`Service::retry_after_hint_ms`].
-fn retry_hint_ms(shared: &Shared) -> u64 {
+/// Suggested back-off for a shed request: `backlog` jobs' worth of work
+/// spread over the pool at the observed mean service time (seeded by
+/// the deadline budget or [`COLD_START_SERVICE_TIME`] before the first
+/// completion). The backlog is the global queue plus the shed job for a
+/// full queue, and the tenant's own occupancy plus the shed job for a
+/// quota shed. See [`Service::retry_after_hint_ms`].
+fn retry_hint_ms(shared: &Shared, backlog: u64) -> u64 {
     let mean = shared.stats.mean_service_time_or(shared.hint_fallback);
-    let backlog = (shared.queue.len() + 1) as u64;
     let per_worker = backlog.div_ceil(shared.workers as u64);
     (mean.as_nanos() as u64).saturating_mul(per_worker).div_ceil(1_000_000).max(1)
 }
@@ -1059,73 +927,133 @@ fn tenant_bump(shared: &Shared, tenant: Option<&String>, bump: impl FnOnce(&mut 
     }
 }
 
-/// Why an admission was refused by [`quota_push`]. The job itself is
-/// dropped with the refusal — its reply channel answers the caller.
-enum AdmitRefusal {
-    /// The tenant's own quota is exhausted; the global queue may still
-    /// have room. Carries a hint sized to *this tenant's* backlog.
-    Quota { retry_after_ms: u64 },
-    /// The global queue is full.
-    Full,
-    /// The service is shutting down.
-    Closed,
+/// The admission gate. Every job bound for the worker queue passes it:
+/// direct `run`/`score` traffic, co-scheduled submits at admission, and
+/// waiting submits the scheduler starts later. It owns the tenant quota
+/// check, lane resolution, the push and the admission accounting. An
+/// open gate holds the tenants lock (lock order cosched → tenants →
+/// queue), so a quota check and the occupancy increment after it are
+/// one step even against racing admissions of the same tenant.
+struct Gate<'a> {
+    shared: &'a Shared,
+    table: MutexGuard<'a, TenantTable>,
+    /// The tenant row the job is accounted under, if it carries a tag.
+    row: Option<String>,
 }
 
-/// Single admission gate for direct (non-cosched) traffic: checks the
-/// tenant quota and pushes into the fair queue as one atomic step under
-/// the tenants lock, so two racing submits cannot both squeeze through
-/// the last quota slot.
-fn quota_push(shared: &Shared, job: Job) -> Result<(), AdmitRefusal> {
-    let tenant = job.request.tenant.clone();
-    let mut table = shared.tenants.lock().expect("tenants lock");
-    let resolved = tenant.as_deref().map(|t| table.resolve_name(t));
-    // Lanes only exist when a policy is configured: with no policy every
-    // push lands in the single implicit lane, which makes the fair queue
-    // degenerate to the exact FIFO the untenanted service always had.
-    let lane = if shared.tenant_policy.is_active() { resolved.clone() } else { None };
-    if shared.tenant_policy.is_active() {
-        if let Some(name) = &resolved {
-            if let Some(quota) = shared.tenant_policy.quota_for(name) {
-                let row = table.row(name);
-                let occupancy = row.in_queue + row.in_flight;
-                if occupancy >= quota {
-                    row.shed += 1;
-                    shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(AdmitRefusal::Quota {
-                        retry_after_ms: tenant_retry_hint_ms(shared, occupancy),
-                    });
-                }
+impl<'a> Gate<'a> {
+    fn open(shared: &'a Shared, tenant: Option<&String>) -> Gate<'a> {
+        let table = shared.tenants.lock().expect("tenants lock");
+        let row = tenant.map(|t| table.resolve_name(t));
+        Gate { shared, table, row }
+    }
+
+    /// Refuses a new request whose tenant already occupies its quota of
+    /// slots (queued plus running), with a hint sized to the tenant's
+    /// own backlog — the global queue may still have room.
+    fn check_quota(mut self) -> Result<Self, Rejected> {
+        let quota = self.lane().and_then(|t| self.shared.tenant_policy.quota_for(t));
+        if let (Some(quota), Some(name)) = (quota, &self.row) {
+            let row = self.table.row(name);
+            let occupancy = row.in_queue + row.in_flight;
+            if occupancy >= quota {
+                row.shed += 1;
+                self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                let retry_after_ms = retry_hint_ms(self.shared, occupancy + 1);
+                return Err(Rejected::Overloaded { retry_after_ms });
             }
+        }
+        Ok(self)
+    }
+
+    /// The job's worker-queue lane. Lanes only exist under an active
+    /// policy: otherwise every push lands in the single implicit lane,
+    /// and the fair queue is the plain FIFO an untenanted service
+    /// always had.
+    fn lane(&self) -> Option<&str> {
+        self.row.as_deref().filter(|_| self.shared.tenant_policy.is_active())
+    }
+
+    /// Admits a new job into the worker queue and counts it, or counts
+    /// and returns its refusal.
+    fn enter(self, job: Job) -> Result<(), Rejected> {
+        match self.shared.queue.try_push(self.lane(), job) {
+            Ok(()) => {
+                self.count_admitted();
+                Ok(())
+            }
+            Err(PushError::Full(_)) => Err(self.shed()),
+            Err(PushError::Closed(_)) => Err(Rejected::ShuttingDown),
         }
     }
-    match shared.queue.try_push(lane.as_deref(), job) {
-        Ok(()) => {
-            shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            if let Some(name) = &resolved {
-                let row = table.row(name);
-                row.admitted += 1;
-                row.in_queue += 1;
-            }
-            Ok(())
+
+    /// Counts an admission, into the worker queue or the co-scheduler's
+    /// wait queue alike.
+    fn count_admitted(mut self) {
+        self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        if let Some(name) = &self.row {
+            let row = self.table.row(name);
+            row.admitted += 1;
+            row.in_queue += 1;
         }
-        Err(PushError::Full(_)) => {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(name) = &resolved {
-                table.row(name).shed += 1;
-            }
-            Err(AdmitRefusal::Full)
+    }
+
+    /// Counts a new request shed for lack of room and returns its
+    /// refusal, hinted by the global backlog.
+    fn shed(mut self) -> Rejected {
+        self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        if let Some(name) = &self.row {
+            self.table.row(name).shed += 1;
         }
-        Err(PushError::Closed(_)) => Err(AdmitRefusal::Closed),
+        let backlog = self.shared.queue.len() as u64 + 1;
+        Rejected::Overloaded { retry_after_ms: retry_hint_ms(self.shared, backlog) }
     }
 }
 
-/// Back-off hint for a quota-shed request: the tenant's own occupancy
-/// (not the global backlog) priced at the observed mean service time —
-/// roughly when one of the tenant's held slots should free up.
-fn tenant_retry_hint_ms(shared: &Shared, occupancy: u64) -> u64 {
-    let mean = shared.stats.mean_service_time_or(shared.hint_fallback);
-    let per_worker = (occupancy + 1).div_ceil(shared.workers as u64);
-    (mean.as_nanos() as u64).saturating_mul(per_worker).div_ceil(1_000_000).max(1)
+/// Retires an admitted job that never reaches a worker — reaped from
+/// the co-scheduler's wait queue, drained at shutdown, or rolled back
+/// at dispatch — by answering its caller with `response`. It counted
+/// into its tenant's `in_queue` when admitted and lands in a terminal
+/// bucket in the same breath (expired for a deadline, cancelled for
+/// anything else: it was admitted, so it is never a shed), which keeps
+/// the per-tenant conservation sum whole. The service counter follows
+/// the answer; `shutting_down` has none.
+fn retire_unstarted(shared: &Shared, job: Job, response: Response) {
+    let stats = &shared.stats;
+    let (counter, expired) = match &response {
+        Response::Error { kind: ErrorKind::Deadline, .. } => (Some(&stats.deadline_expired), true),
+        Response::Error { kind: ErrorKind::Cancelled, .. } => (Some(&stats.cancelled), false),
+        Response::Overloaded { .. } => (Some(&stats.rejected), false),
+        _ => (None, false),
+    };
+    if let Some(counter) = counter {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+    tenant_bump(shared, job.request.tenant.as_ref(), |row| {
+        row.in_queue = row.in_queue.saturating_sub(1);
+        if expired {
+            row.expired += 1;
+        } else {
+            row.cancelled += 1;
+        }
+    });
+    let _ = job.reply.send(Frame::Final(response));
+}
+
+/// Sends an interim frame to a progress-opted job's caller, counting it
+/// when the caller is still listening.
+fn send_progress(stats: &SvcStats, job: &Job, body: ProgressBody) {
+    if job.request.progress.is_none() {
+        return;
+    }
+    if job.reply.send(Frame::Progress(Progress { id: job.request.id, body })).is_ok() {
+        stats.progress_frames_sent.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Per-node free cores of the co-scheduler's platform right now.
+fn residual_cores(state: &CoschedState) -> Vec<u64> {
+    state.sched.residency().residual().iter().map(|&c| u64::from(c)).collect()
 }
 
 /// The base platform/workload model the co-scheduler scores candidate
@@ -1173,27 +1101,13 @@ fn reap_expired_waiting(shared: &Shared, state: &mut CoschedState) {
     for id in dead {
         let entry = state.waiting.remove(&id).expect("key just listed");
         state.sched.cancel_queued(id);
-        let cancelled = entry.job.cancel.is_cancelled();
-        // Reaped waiters leave the queue and land in a terminal bucket
-        // in the same breath — they must not vanish from the per-tenant
-        // conservation sum.
-        tenant_bump(shared, entry.job.request.tenant.as_ref(), |row| {
-            row.in_queue = row.in_queue.saturating_sub(1);
-            if cancelled {
-                row.cancelled += 1;
-            } else {
-                row.expired += 1;
-            }
-        });
-        let response = if cancelled {
-            shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+        let response = if entry.job.cancel.is_cancelled() {
             ExecError::Cancelled.to_response(id)
         } else {
-            shared.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
             ExecError::Deadline("deadline expired while queued for co-scheduling".to_string())
                 .to_response(id)
         };
-        let _ = entry.job.reply.send(Frame::Final(response));
+        retire_unstarted(shared, entry.job, response);
     }
 }
 
@@ -1229,7 +1143,9 @@ fn finish_cosched(shared: &Shared, job_id: u64) {
 
 /// Moves jobs the scheduler just started from the wait map into the
 /// worker queue, stamping each with its placement, wait time, and
-/// backfill flag.
+/// backfill flag. A started job the queue cannot take (full, or closed
+/// by shutdown) is rolled back: its reservation is withdrawn and
+/// journaled as released, and the job retires unstarted.
 fn dispatch_started(
     shared: &Shared,
     state: &mut CoschedState,
@@ -1245,91 +1161,56 @@ fn dispatch_started(
         // Started while an earlier-admitted job still waits = backfill.
         let backfilled = state.waiting.values().any(|w| w.seq < entry.seq);
         let queue_wait_ms = entry.enqueued.elapsed().as_secs_f64() * 1e3;
-        let residual: Vec<u64> =
-            state.sched.residency().residual().iter().map(|&c| u64::from(c)).collect();
+        let residual = residual_cores(state);
+        let mut job = entry.job;
         if let (Some(journal), Some(reservation)) =
-            (&shared.journal, replayed_reservation(state, id, entry.job.request.tenant.as_ref()))
+            (&shared.journal, replayed_reservation(state, id, job.request.tenant.as_ref()))
         {
             journal.append_reserve(&reservation);
         }
-        if entry.job.request.progress.is_some() {
-            let frame = Frame::Progress(Progress {
-                id,
-                body: ProgressBody::Submit {
-                    queue_depth: None,
-                    assignment: Some(decision.assignment.clone()),
-                },
-            });
-            if entry.job.reply.send(frame).is_ok() {
-                shared.stats.progress_frames_sent.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let tenant = entry.job.request.tenant.clone();
-        let mut job = entry.job;
+        let assignment = Some(decision.assignment.clone());
+        send_progress(&shared.stats, &job, ProgressBody::Submit { queue_depth: None, assignment });
         job.cosched = Some(CoschedJob { decision, backfilled, queue_wait_ms, residual });
-        // Dispatch keeps the job's lane: a waiting submit was already
-        // admitted (its tenant row counts it in `in_queue`), so the
-        // dequeue below competes fairly against direct traffic of the
-        // same tenant.
-        let lane = if shared.tenant_policy.is_active() {
-            tenant.as_deref().map(|t| shared.tenants.lock().expect("tenants lock").resolve_name(t))
-        } else {
-            None
-        };
-        match shared.queue.try_push(lane.as_deref(), job) {
-            Ok(()) => {}
+        // The job was admitted (and counted) when it started waiting, so
+        // it only needs its lane from the gate: it competes fairly with
+        // direct traffic of the same tenant.
+        let gate = Gate::open(shared, job.request.tenant.as_ref());
+        let pushed = shared.queue.try_push(gate.lane(), job);
+        drop(gate);
+        let (job, refusal) = match pushed {
+            Ok(()) => continue,
             Err(PushError::Full(job)) => {
-                state.sched.withdraw(id);
-                if let Some(journal) = &shared.journal {
-                    journal.append_release(id);
-                }
-                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                // This job was *admitted* (it counted into `in_queue`
-                // when it entered the wait map), so the rollback is a
-                // cancellation, not an admission-time shed — `shed`
-                // only ever counts jobs that never got in.
-                tenant_bump(shared, tenant.as_ref(), |row| {
-                    row.in_queue = row.in_queue.saturating_sub(1);
-                    row.cancelled += 1;
-                });
-                let retry_after_ms = retry_hint_ms(shared);
-                let _ = job
-                    .reply
-                    .send(Frame::Final(Rejected::Overloaded { retry_after_ms }.to_response(id)));
+                let backlog = shared.queue.len() as u64 + 1;
+                (job, Rejected::Overloaded { retry_after_ms: retry_hint_ms(shared, backlog) })
             }
-            Err(PushError::Closed(job)) => {
-                state.sched.withdraw(id);
-                if let Some(journal) = &shared.journal {
-                    journal.append_release(id);
-                }
-                tenant_bump(shared, tenant.as_ref(), |row| {
-                    row.in_queue = row.in_queue.saturating_sub(1);
-                    row.cancelled += 1;
-                });
-                let _ = job.reply.send(Frame::Final(Rejected::ShuttingDown.to_response(id)));
-            }
+            Err(PushError::Closed(job)) => (job, Rejected::ShuttingDown),
+        };
+        state.sched.withdraw(id);
+        if let Some(journal) = &shared.journal {
+            journal.append_release(id);
         }
+        retire_unstarted(shared, job, refusal.to_response(id));
     }
 }
 
-/// The `attach` lookup shared between [`Service::attach`] (the inline
-/// front-end path) and queued execution.
-fn attach_response(shared: &Shared, id: u64, job: u64) -> Response {
-    match shared.runs.get(&job.to_string()) {
-        Some(stored) => match &*stored {
-            Response::RunResult { ensemble_makespan, members, elapsed_ms, .. } => {
-                Response::RunResult {
-                    id,
-                    ensemble_makespan: *ensemble_makespan,
-                    members: members.clone(),
-                    elapsed_ms: *elapsed_ms,
-                }
-            }
-            other => Response::Error {
+/// Answers `attach { job }` from a stored run result: the result
+/// re-emitted under the caller's own correlation id `id`, or a
+/// `not_found` error. The primary's completed-run index and a standby's
+/// warm image both answer through here.
+pub(crate) fn attach_reply(stored: Option<&Response>, id: u64, job: u64) -> Response {
+    match stored {
+        Some(Response::RunResult { ensemble_makespan, members, elapsed_ms, .. }) => {
+            Response::RunResult {
                 id,
-                kind: ErrorKind::Internal,
-                message: format!("run index held a non-run response for job {job}: {other:?}"),
-            },
+                ensemble_makespan: *ensemble_makespan,
+                members: members.clone(),
+                elapsed_ms: *elapsed_ms,
+            }
+        }
+        Some(other) => Response::Error {
+            id,
+            kind: ErrorKind::Internal,
+            message: format!("run index held a non-run response for job {job}: {other:?}"),
         },
         None => Response::Error {
             id,
@@ -1414,7 +1295,9 @@ fn execute(shared: &Shared, job: &Job) -> (Response, bool) {
         // Attach requests are answered by the front end without
         // queueing (like metrics); one arriving here is still served
         // correctly from the same index.
-        RequestBody::Attach { job: target } => Ok(attach_response(shared, id, *target)),
+        RequestBody::Attach { job: target } => {
+            Ok(attach_reply(shared.runs.get(&target.to_string()).as_deref(), id, *target))
+        }
         // Metrics requests are answered by the front end without
         // queueing; one arriving here is still served correctly.
         RequestBody::Metrics => Ok(Response::Metrics { id, rows: Vec::new() }),
@@ -1437,9 +1320,9 @@ fn base_config(spec: ensemble_core::EnsembleSpec, workloads: Workloads) -> SimRu
 
 /// Canonical cache key of a score request under the service's platform.
 /// Built from the full query description plus the platform/workload
-/// fingerprint — two keys are equal iff `fast_score` is guaranteed to
-/// return bit-identical results (it is deterministic; see the
-/// scheduler's determinism tests).
+/// fingerprint — two keys are equal iff the delta scan is guaranteed to
+/// return bit-identical rankings (it is deterministic at any worker
+/// count; see the scheduler's delta property tests).
 ///
 /// Every part serializes in a fixed order — in particular the workload
 /// map goes through [`WorkloadMap::canonical_fingerprint`], which sorts

@@ -42,8 +42,10 @@ use std::time::{Duration, Instant, SystemTime};
 use crate::journal::{decode_line, FollowEvent, JournalConfig, JournalFollower, JournalRecord};
 use crate::json::Value;
 use crate::protocol::{ErrorKind, Request, RequestBody, Response};
-use crate::server::{heartbeat_path, REPL_HEARTBEAT};
-use crate::service::{Service, SvcConfig};
+use crate::server::{
+    accept_loop, heartbeat_path, line_request_id, write_line, LineReader, REPL_HEARTBEAT,
+};
+use crate::service::{attach_reply, Service, SvcConfig};
 
 /// Missed heartbeats after which the primary is presumed dead.
 pub const DEAD_AFTER_BEATS: u32 = 4;
@@ -236,9 +238,14 @@ impl Standby {
                 listener.set_nonblocking(true)?;
                 let local_addr = listener.local_addr()?;
                 let listen_shared = Arc::clone(&shared);
-                let t = std::thread::Builder::new()
-                    .name("svc-standby-accept".into())
-                    .spawn(move || accept_loop(&listener, &listen_shared))?;
+                let t = std::thread::Builder::new().name("svc-standby-accept".into()).spawn(
+                    move || {
+                        let conn_shared = Arc::clone(&listen_shared);
+                        let serve = move |stream| standby_connection(stream, &conn_shared);
+                        let (stopping, conns) = (&listen_shared.stopping, &listen_shared.conns);
+                        accept_loop(&listener, POLL, "svc-standby-conn", stopping, conns, serve);
+                    },
+                )?;
                 (Some(local_addr), Some(t))
             }
             None => (None, None),
@@ -354,7 +361,7 @@ fn follow_file(path: &Path, shared: &StandbyShared) {
         for event in follower.poll().unwrap_or_default() {
             apply_event(shared, event);
         }
-        if let Some(mtime) = std::fs::metadata(&hb_path).and_then(|m| m.modified()).ok() {
+        if let Ok(mtime) = std::fs::metadata(&hb_path).and_then(|m| m.modified()) {
             if last_mtime != Some(mtime) {
                 last_mtime = Some(mtime);
                 shared.beat();
@@ -371,14 +378,11 @@ fn follow_file(path: &Path, shared: &StandbyShared) {
 fn follow_primary(addr: &str, local: &Path, shared: &StandbyShared, heartbeat: Duration) {
     let mut backoff = Duration::from_millis(50);
     while !shared.stopping() {
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                backoff = Duration::from_millis(50);
-                if stream_session(stream, local, shared, heartbeat) {
-                    return; // primary reported degraded: stop following
-                }
+        if let Ok(stream) = TcpStream::connect(addr) {
+            backoff = Duration::from_millis(50);
+            if stream_session(stream, local, shared, heartbeat) {
+                return; // primary reported degraded: stop following
             }
-            Err(_) => {}
         }
         sleep_observing_stop(shared, backoff);
         backoff = (backoff * 2).min(MAX_RECONNECT_BACKOFF);
@@ -495,61 +499,25 @@ fn stream_session(
 
 /// Read-only front end: metrics and attach answered from the image,
 /// everything else refused with [`ErrorKind::Standby`].
-fn accept_loop(listener: &TcpListener, shared: &Arc<StandbyShared>) {
-    while !shared.stopping() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("svc-standby-conn".into())
-                    .spawn(move || standby_connection(stream, &conn_shared))
-                    .expect("spawn standby connection");
-                let mut conns = shared.conns.lock().expect("conns lock");
-                conns.retain(|h| !h.is_finished());
-                conns.push(handle);
-            }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => break,
-        }
-    }
-}
-
 fn standby_connection(mut stream: TcpStream, shared: &Arc<StandbyShared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    'conn: loop {
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line[..nl]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
-            let response = standby_answer(shared, &line);
-            let out = format!("{}\n", response.to_json());
-            if stream.write_all(out.as_bytes()).and_then(|()| stream.flush()).is_err() {
-                break 'conn;
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break 'conn,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
-                if shared.stopping() {
-                    break 'conn;
-                }
-            }
-            Err(_) => break 'conn,
+    let mut lines = LineReader::new(&stream, POLL);
+    while let Some(line) = lines.next_line(&mut stream, || shared.stopping()) {
+        if write_line(&mut stream, &standby_answer(shared, &line).to_json()).is_err() {
+            return;
         }
     }
 }
 
 fn standby_answer(shared: &StandbyShared, line: &str) -> Response {
-    let id = Value::parse(line).ok().and_then(|v| v.get("id").and_then(Value::as_u64)).unwrap_or(0);
     let request = match Request::from_json(line) {
         Ok(r) => r,
-        Err(message) => return Response::Error { id, kind: ErrorKind::Malformed, message },
+        Err(message) => {
+            return Response::Error {
+                id: line_request_id(line),
+                kind: ErrorKind::Malformed,
+                message,
+            }
+        }
     };
     match request.body {
         RequestBody::Metrics => Response::Metrics { id: request.id, rows: standby_rows(shared) },
@@ -563,27 +531,7 @@ fn standby_answer(shared: &StandbyShared, line: &str) -> Response {
 }
 
 fn attach_from_image(shared: &StandbyShared, id: u64, job: u64) -> Response {
-    let image = shared.image.lock().expect("image lock");
-    match image.runs.get(&job) {
-        Some(Response::RunResult { ensemble_makespan, members, elapsed_ms, .. }) => {
-            Response::RunResult {
-                id,
-                ensemble_makespan: *ensemble_makespan,
-                members: members.clone(),
-                elapsed_ms: *elapsed_ms,
-            }
-        }
-        Some(other) => Response::Error {
-            id,
-            kind: ErrorKind::Internal,
-            message: format!("standby run index held a non-run response for job {job}: {other:?}"),
-        },
-        None => Response::Error {
-            id,
-            kind: ErrorKind::NotFound,
-            message: format!("no completed run with job id {job}"),
-        },
-    }
+    attach_reply(shared.image.lock().expect("image lock").runs.get(&job), id, job)
 }
 
 /// Standby metrics rows (`standby_*` keys, disjoint from the primary's

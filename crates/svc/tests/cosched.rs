@@ -298,6 +298,157 @@ fn infeasible_ensembles_are_refused_at_admission() {
     svc.shutdown();
 }
 
+fn tagged(mut request: Request, tenant: &str) -> Request {
+    request.tenant = Some(tenant.to_string());
+    request
+}
+
+fn tenant_row(svc: &Service, name: &str) -> svc::TenantRow {
+    let row = svc
+        .metrics()
+        .tenants
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("tenant '{name}' missing from snapshot"))
+        .1;
+    assert_eq!(
+        row.admitted,
+        row.executed + row.expired + row.cancelled + row.in_queue + row.in_flight,
+        "conservation broken for '{name}': {row:?}"
+    );
+    row
+}
+
+fn expect_shutting_down(response: Response) {
+    match response {
+        Response::Error { kind: ErrorKind::ShuttingDown, .. } => {}
+        other => panic!("expected shutting_down, got {other:?}"),
+    }
+}
+
+/// Shutdown while a co-scheduled submit waits behind a placed one: the
+/// worker drains the placed job, its release starts the waiter, and the
+/// closed worker queue turns that start into a `shutting_down` answer.
+/// The waiter was admitted, so its tenant row retires it as cancelled.
+#[test]
+fn shutdown_answers_a_waiting_submit_with_shutting_down() {
+    let svc = Service::start(cosched_config(1, 1));
+    let blocked = svc.submit(blocker(100)).unwrap(); // pins the worker
+    let placed = svc.submit(tagged(large(1), "t")).unwrap();
+    let waiting = svc.submit(tagged(large(2), "t")).unwrap();
+    assert_eq!(svc.metrics().cosched_queue_depth, 1);
+    svc.shutdown();
+    expect_shutting_down(waiting.wait());
+    expect_submit(placed.wait());
+    assert!(matches!(blocked.wait(), Response::RunResult { .. }));
+    let row = tenant_row(&svc, "t");
+    assert_eq!((row.admitted, row.executed, row.cancelled), (2, 1, 1));
+    assert_eq!((row.in_queue, row.in_flight), (0, 0));
+    let m = svc.metrics();
+    assert_eq!(m.cosched_queue_depth, 0);
+    assert_eq!(m.cosched_open_reservations, 0, "residency map ends empty");
+    assert_eq!(m.cosched_committed_cores, 0);
+}
+
+/// Shutdown while a submit waits behind a journal-restored reservation
+/// that no worker will ever release: the shutdown drain itself answers
+/// the waiter `shutting_down` and retires it as cancelled.
+#[test]
+fn shutdown_drains_a_waiter_no_release_will_start() {
+    let path = std::env::temp_dir().join(format!("svc-cosched-drain-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    {
+        let (journal, _) = Journal::open(JournalConfig::new(&path)).unwrap();
+        journal.append_reserve(&ReplayedReservation {
+            job: 7,
+            members: vec![(16, vec![8])],
+            assignment: vec![0, 0],
+            predicted_end: 50.0,
+            seq: 1,
+            tenant: None,
+        });
+    }
+    let mut config = cosched_config(1, 1);
+    config.journal = Some(JournalConfig::new(&path));
+    let svc = Service::start(config);
+    let waiting = svc.submit(tagged(large(2), "t")).unwrap();
+    assert_eq!(svc.metrics().cosched_queue_depth, 1, "24 cores cannot fit beside the orphan");
+    svc.shutdown();
+    expect_shutting_down(waiting.wait());
+    let row = tenant_row(&svc, "t");
+    assert_eq!((row.admitted, row.cancelled, row.in_queue), (1, 1, 0));
+    assert_eq!(svc.metrics().cosched_queue_depth, 0);
+    assert!(svc.release_reservation(7), "the orphan is still the operator's to release");
+    let m = svc.metrics();
+    assert_eq!(m.cosched_open_reservations, 0, "residency map ends empty");
+    assert_eq!(m.cosched_committed_cores, 0);
+    drop(svc);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Dispatch rollback: a waiting submit that the scheduler starts while
+/// the worker queue is full never reaches a worker. Its reservation is
+/// withdrawn and journaled as released, its caller gets `overloaded`,
+/// and its tenant row counts it as cancelled (it had been admitted).
+#[test]
+fn a_started_submit_that_meets_a_full_queue_is_rolled_back() {
+    let path =
+        std::env::temp_dir().join(format!("svc-cosched-rollback-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut config = cosched_config(1, 1);
+    config.queue_capacity = 1;
+    config.journal = Some(JournalConfig::new(&path));
+    let svc = Service::start(config);
+    // A long placed submit pins the only worker; it must be running
+    // (not queued) before the queue is filled behind it.
+    let mut long = tagged(large(1), "t");
+    if let RequestBody::Submit(submit) = &mut long.body {
+        submit.steps = 100_000;
+    }
+    let placed = svc.submit(long).unwrap();
+    let picked_up = Instant::now() + Duration::from_secs(30);
+    while svc.metrics().in_flight == 0 {
+        assert!(Instant::now() < picked_up, "worker never picked up the placed submit");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let waiting = svc.submit(tagged(large(2), "t")).unwrap();
+    let mut filler = blocker(3);
+    if let RequestBody::Run(run) = &mut filler.body {
+        run.steps = 4;
+    }
+    let filler = svc.submit(filler).unwrap();
+    let m = svc.metrics();
+    assert_eq!((m.cosched_queue_depth, m.queue_depth), (1, 1), "one waiter, a full queue");
+    match waiting.wait() {
+        Response::Overloaded { id, retry_after_ms } => {
+            assert_eq!(id, 2);
+            assert!(retry_after_ms >= 1);
+        }
+        other => panic!("expected overloaded, got {other:?}"),
+    }
+    expect_submit(placed.wait());
+    assert!(matches!(filler.wait(), Response::RunResult { .. }));
+    let row = tenant_row(&svc, "t");
+    assert_eq!((row.admitted, row.executed, row.cancelled, row.shed), (2, 1, 1, 0));
+    assert_eq!((row.in_queue, row.in_flight), (0, 0));
+    let m = svc.metrics();
+    assert_eq!(m.rejected, 1, "the rollback counts as one rejection");
+    assert_eq!(m.cosched_open_reservations, 0, "residency map empty after the drain");
+    assert_eq!(m.cosched_committed_cores, 0);
+    svc.shutdown();
+    drop(svc);
+    let released: Vec<u64> = std::fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .filter_map(|line| match svc::journal::decode_line(line.as_bytes()) {
+            Some(svc::JournalRecord::Release { job }) => Some(job),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(released, vec![1, 2], "the placed job's release, then the rollback's");
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Sustained mixed interactive/batch stream against the co-scheduler —
 /// the nightly leak check: after the stream drains, the residency map
 /// must be empty and committed capacity exactly zero. Run with
@@ -324,7 +475,7 @@ fn soak_mixed_stream_leaks_no_residual_capacity() {
                         // with co-scheduled runs.
                         _ => svc::small_score_request(id, 2, 16, 1, 8, 2),
                     };
-                    if round % 5 == 0 {
+                    if round.is_multiple_of(5) {
                         // Some submits expire while queued — the leak
                         // the drain assertion below would catch.
                         request.deadline = Some(Duration::from_millis(1));

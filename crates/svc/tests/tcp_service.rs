@@ -420,6 +420,61 @@ fn handler_panic_is_a_structured_internal_error_not_a_dead_connection() {
     handle.shutdown();
 }
 
+/// Sends one request line of `1 MiB + 1` bytes with no newline to
+/// `addr`: the front end must answer a `malformed` error naming the
+/// cap and close the connection, and a fresh connection must still be
+/// served `metrics`.
+fn assert_line_cap_refuses(addr: std::net::SocketAddr) {
+    use std::io::{BufRead, BufReader, Read, Write};
+    const MAX_LINE_BYTES: usize = 1 << 20;
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream.write_all(&vec![b'a'; MAX_LINE_BYTES + 1]).expect("send the over-long line");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the refusal arrives before the timeout");
+    match Response::from_json(line.trim_end()).expect("a response line") {
+        Response::Error { id, kind: ErrorKind::Malformed, message } => {
+            assert_eq!(id, 0);
+            assert_eq!(message, "request line exceeds 1048576 bytes");
+        }
+        other => panic!("expected a malformed refusal, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(0) => {}
+        Ok(n) => panic!("connection stayed open and sent {n} more bytes"),
+        Err(e) => assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "connection left open"),
+    }
+    let mut fresh = SvcClient::connect(addr).expect("connect after the refusal");
+    fresh.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    let metrics =
+        Request { id: 3, deadline: None, progress: None, tenant: None, body: RequestBody::Metrics };
+    match fresh.request(&metrics).expect("fresh connection") {
+        Response::Metrics { id, .. } => assert_eq!(id, 3),
+        other => panic!("expected metrics, got {other:?}"),
+    }
+}
+
+#[test]
+fn over_long_request_line_is_refused_and_the_connection_closed() {
+    let handle = server(1, 8);
+    assert_line_cap_refuses(handle.addr());
+    handle.shutdown();
+}
+
+#[test]
+fn standby_listener_refuses_an_over_long_request_line() {
+    let path =
+        std::env::temp_dir().join(format!("svc-tcp-standby-cap-{}.jsonl", std::process::id()));
+    let mut config = svc::StandbyConfig::new(svc::StandbySource::File(path.clone()));
+    config.serve_addr = Some("127.0.0.1:0".to_string());
+    let standby = svc::Standby::start(config).expect("start standby");
+    assert_line_cap_refuses(standby.addr().expect("standby listener"));
+    drop(standby);
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn client_submit_rides_out_real_overload() {
     // One worker, one queue slot, a long run pinning the worker: a
